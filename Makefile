@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test lint wflint race cover bench bench-baseline bench-gate e2e e2e-shard e2e-diskfault gauntlet sim golden
+.PHONY: check fmt vet build test lint wflint race cover size bench bench-baseline bench-gate e2e e2e-shard e2e-diskfault gauntlet sim golden
 
 check: lint build test bench
 
@@ -43,6 +43,14 @@ race:
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
+
+# Code-size ledger, a report and not a gate: the non-test Go line count
+# (perfbench, testdata and the benchmark build tree excluded) and the
+# number of //wflint:allow directives in non-test, non-testdata code.
+SIZE_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path '*/testdata/*' ! -path './.bench_build/*'
+size:
+	@printf 'non-test Go lines:        '; $(SIZE_FILES) | xargs cat | wc -l
+	@printf 'wflint:allow directives:  '; $(SIZE_FILES) | xargs grep -hE '^[[:space:]]*//wflint:allow ' | wc -l
 
 # One iteration per benchmark: exercises every scenario end to end
 # without turning CI into a measurement run.

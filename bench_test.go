@@ -267,87 +267,59 @@ func BenchmarkX5LossyNetwork(b *testing.B) {
 	}
 }
 
-// schedulerModes pairs a display name with the engine's FullRescan flag
-// for the scheduler ablation benchmarks.
-var schedulerModes = []struct {
-	name       string
-	fullRescan bool
-}{
-	{"dirty-set", false},
-	{"full-rescan", true},
-}
-
-// BenchmarkSchedulerChain compares the dependency-indexed dirty-set
-// scheduler against the legacy full-rescan baseline on deep pipelines:
-// a completion event enqueues only the completed task's consumers, so
-// per-event work is O(consumers) instead of O(tasks) and the 1k-task
-// chain stops being quadratic.
+// BenchmarkSchedulerChain measures the dependency-indexed dirty-set
+// scheduler on deep pipelines: a completion event enqueues only the
+// completed task's consumers, so per-event work is O(consumers) instead
+// of O(tasks) and the 1k-task chain is not quadratic.
 func BenchmarkSchedulerChain(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		src := workload.Chain(n)
-		for _, mode := range schedulerModes {
-			b.Run(fmt.Sprintf("tasks=%d/%s", n, mode.name), func(b *testing.B) {
-				s := experiments.NewSched(fmt.Sprintf("chain%d", n), src, mode.fullRescan)
-				defer s.Close()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := s.Run(); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
+			s := experiments.NewSched(fmt.Sprintf("chain%d", n), src)
+			defer s.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Run(); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// BenchmarkSchedulerFanIn compares the schedulers on the widest join:
-// n parallel stages notifying a single sink, so every completion event
+// BenchmarkSchedulerFanIn measures the scheduler on the widest join: n
+// parallel stages notifying a single sink, so every completion event
 // hits the same consumer.
 func BenchmarkSchedulerFanIn(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		src := workload.FanIn(n)
-		for _, mode := range schedulerModes {
-			b.Run(fmt.Sprintf("tasks=%d/%s", n, mode.name), func(b *testing.B) {
-				s := experiments.NewSched(fmt.Sprintf("fanin%d", n), src, mode.fullRescan)
-				defer s.Close()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := s.Run(); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
+			s := experiments.NewSched(fmt.Sprintf("fanin%d", n), src)
+			defer s.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Run(); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // BenchmarkAblationPersistence isolates the cost of the paper's central
 // design decision — recording dependency state in persistent objects
-// under transactions — by comparing ephemeral, memory-store and
-// file-store configurations on the same workload.
+// under transactions — by comparing ephemeral and memory-store
+// configurations on the same workload.
 func BenchmarkAblationPersistence(b *testing.B) {
-	configs := []struct {
+	for _, cfg := range []struct {
 		name      string
 		ephemeral bool
-		file      bool
 	}{
-		{"ephemeral", true, false},
-		{"memstore", false, false},
-		{"filestore", false, true},
-	}
-	for _, cfg := range configs {
+		{"ephemeral", true},
+		{"memstore", false},
+	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			var st store.Store
-			if cfg.file {
-				fs, err := experiments.NewFileStoreEnv(b.TempDir())
-				if err != nil {
-					b.Fatal(err)
-				}
-				st = fs
-			} else {
-				st = store.NewMemStore()
-			}
-			f, err := experiments.AblationEnv(st, cfg.ephemeral)
+			f, err := experiments.AblationEnv(store.NewMemStore(), cfg.ephemeral)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -362,39 +334,25 @@ func BenchmarkAblationPersistence(b *testing.B) {
 	}
 }
 
-// BenchmarkPersistChain isolates durable-persistence cost on a deep
-// chain with fsync ENABLED (unlike BenchmarkAblationPersistence, which
-// disables it): the shadow-file FileStore vs the group-commit WALStore,
-// each under per-transition transactions (legacy) and batched-per-drain
-// persistence. The wal/batched configuration must beat file/per-transition
-// by well over 5x on the 1k chain — durability cost scales with commit
-// batches, not transitions.
+// BenchmarkPersistChain measures durable-persistence cost on a deep
+// chain with fsync ENABLED (unlike BenchmarkAblationPersistence): the
+// group-commit WALStore with batched-per-drain persistence, whose cost
+// scales with commit batches, not transitions.
 func BenchmarkPersistChain(b *testing.B) {
-	modes := []struct {
-		name          string
-		perTransition bool
-	}{
-		{"batched", false},
-		{"per-transition", true},
-	}
 	for _, n := range []int{100, 1000} {
-		for _, backend := range []string{"file", "wal"} {
-			for _, mode := range modes {
-				b.Run(fmt.Sprintf("tasks=%d/%s/%s", n, backend, mode.name), func(b *testing.B) {
-					p, err := experiments.NewPersistChain(backend, mode.perTransition, n, b.TempDir())
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer p.Close()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := p.Run(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
+		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
+			p, err := experiments.NewPersistChain(n, b.TempDir())
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
+			defer p.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

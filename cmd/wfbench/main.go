@@ -130,7 +130,7 @@ var calibCPU, calibFsync time.Duration
 // calibrateCPU measures a fixed in-memory scheduler chain (the same
 // kind of work as the S1/S3 rows): best of n.
 func calibrateCPU() error {
-	d, err := measure(experiments.NewSched("calib", workload.Chain(64), false), 15)
+	d, err := measure(experiments.NewSched("calib", workload.Chain(64)), 15)
 	if err != nil {
 		return fmt.Errorf("cpu reference: %w", err)
 	}
@@ -476,40 +476,24 @@ func run(iters int, quick bool) error {
 	for _, cfg := range []struct {
 		name      string
 		ephemeral bool
-		file      bool
-	}{{"ephemeral (no persistence)", true, false}, {"memory store", false, false}, {"file store", false, true}} {
-		var st store.Store = store.NewMemStore()
-		if cfg.file {
-			dir, err := os.MkdirTemp("", "wfbench-*")
-			if err != nil {
-				return err
-			}
-			defer func() { _ = os.RemoveAll(dir) }()
-			st, err = experiments.NewFileStoreEnv(dir)
-			if err != nil {
-				return err
-			}
-		}
-		f, err := experiments.AblationEnv(st, cfg.ephemeral)
+	}{{"ephemeral (no persistence)", true}, {"memory store", false}} {
+		f, err := experiments.AblationEnv(store.NewMemStore(), cfg.ephemeral)
 		if err != nil {
 			return err
 		}
-		ablIters := iters
-		if cfg.file && ablIters > 5 {
-			ablIters = 5
-		}
-		mean, err := measure(f, ablIters)
+		mean, err := measure(f, iters)
 		if err != nil {
 			return fmt.Errorf("ablation %s: %w", cfg.name, err)
 		}
 		row("ABL", "diamond(4) with "+cfg.name, mean, "persistence design-decision cost")
 	}
 
-	// Scheduler ablation: dependency-indexed dirty set vs full rescan.
-	// These rows feed the -compare regression gate, so they take enough
-	// samples for the best-iteration statistic to dodge interference
-	// bursts (the rows are cheap; 15 iterations is still milliseconds),
-	// and the CPU calibration is measured here, adjacent to them.
+	// S1 scheduler rows: the dependency-indexed dirty set on a deep
+	// chain and a wide fan-in. These rows feed the -compare regression
+	// gate, so they take enough samples for the best-iteration statistic
+	// to dodge interference bursts (the rows are cheap; 15 iterations is
+	// still milliseconds), and the CPU calibration is measured here,
+	// adjacent to them.
 	if err := calibrateCPU(); err != nil {
 		return err
 	}
@@ -528,25 +512,19 @@ func run(iters int, quick bool) error {
 		{fmt.Sprintf("chain(%d)", schedN), workload.Chain(schedN)},
 		{fmt.Sprintf("fanin(%d)", schedN), workload.FanIn(schedN)},
 	} {
-		for _, mode := range []struct {
-			name       string
-			fullRescan bool
-		}{{"dirty-set index", false}, {"full rescan", true}} {
-			mean, err := measure(experiments.NewSched(load.name, load.src, mode.fullRescan), schedIters)
-			if err != nil {
-				return fmt.Errorf("S1 %s/%s: %w", load.name, mode.name, err)
-			}
-			row("S1", load.name+" with "+mode.name, mean, "per-event scheduling cost ablation")
+		mean, err := measure(experiments.NewSched(load.name, load.src), schedIters)
+		if err != nil {
+			return fmt.Errorf("S1 %s: %w", load.name, err)
 		}
+		row("S1", load.name+" with dirty-set index", mean, "per-event scheduling cost")
 	}
 
-	// S2 persistence ablation: durable (fsync-enabled) chain under the
-	// shadow-file store vs the group-commit WAL store, each with
-	// per-transition transactions (legacy) and batched-per-drain
-	// persistence. The wal+batched row is the production configuration.
-	// Also gated: five samples bound the cost of the fsync-heavy rows
-	// while giving the best-iteration statistic room to dodge stalls;
-	// the fsync calibration is measured here, adjacent to them.
+	// S2 durable persistence: an fsync-enabled chain over the
+	// group-commit WAL store with batched-per-drain persistence, the
+	// production configuration. Also gated: five samples bound the cost
+	// of the fsync-heavy row while giving the best-iteration statistic
+	// room to dodge stalls; the fsync calibration is measured here,
+	// adjacent to it.
 	if err := calibrateFsync(); err != nil {
 		return err
 	}
@@ -555,26 +533,21 @@ func run(iters int, quick bool) error {
 	if quick {
 		persistN = 16
 	}
-	for _, backend := range []string{"file", "wal"} {
-		for _, mode := range []struct {
-			name          string
-			perTransition bool
-		}{{"per-transition txns", true}, {"batched drains", false}} {
-			dir, err := os.MkdirTemp("", "wfbench-persist-*")
-			if err != nil {
-				return err
-			}
-			defer func() { _ = os.RemoveAll(dir) }()
-			p, err := experiments.NewPersistChain(backend, mode.perTransition, persistN, dir)
-			if err != nil {
-				return fmt.Errorf("S2 %s/%s: %w", backend, mode.name, err)
-			}
-			mean, err := measure(p, persistIters)
-			if err != nil {
-				return fmt.Errorf("S2 %s/%s: %w", backend, mode.name, err)
-			}
-			row("S2", fmt.Sprintf("chain(%d) durable, %s store, %s", persistN, backend, mode.name), mean, "group-commit + batch ablation (fsync on)")
+	{
+		dir, err := os.MkdirTemp("", "wfbench-persist-*")
+		if err != nil {
+			return err
 		}
+		defer func() { _ = os.RemoveAll(dir) }()
+		p, err := experiments.NewPersistChain(persistN, dir)
+		if err != nil {
+			return fmt.Errorf("S2: %w", err)
+		}
+		mean, err := measure(p, persistIters)
+		if err != nil {
+			return fmt.Errorf("S2: %w", err)
+		}
+		row("S2", fmt.Sprintf("chain(%d) durable, wal store, batched drains", persistN), mean, "group-commit + batched drains (fsync on)")
 	}
 
 	// S3 executor-pool scaling: the closed-loop load generator drives

@@ -22,8 +22,8 @@
 // enqueue only the affected consumers onto a worklist, and the worklist
 // is drained in schema-DFS declaration order so input-set and
 // alternative-source selection stay deterministic — bit-identical to the
-// legacy full-rescan strategy retained behind engine.Config.FullRescan
-// as the ablation baseline and differential-test oracle. See
+// full-rescan fixed-point loop, which survives only in the engine's
+// tests as the differential oracle. See
 // internal/engine/depindex.go and the "Scheduler architecture" section
 // of README.md.
 //

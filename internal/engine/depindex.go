@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // This file implements the dependency-indexed dirty-set scheduler. At
 // instance build time (and after every reconfiguration) the schema is
@@ -16,8 +12,8 @@ import (
 // schema-DFS declaration order — so one completion event costs
 // O(consumers) instead of the legacy full rescan's O(tasks), while
 // input-set and alternative selection stay bit-identical to the
-// full-rescan baseline (Config.FullRescan, kept as the ablation and the
-// oracle for the differential tests).
+// full-rescan oracle the differential tests run it against (see
+// oracle_test.go).
 
 // consumers lists the tasks whose dependencies reference one producer,
 // split by the producer event that can create source availability.
@@ -211,44 +207,5 @@ func (i *Instance) evalRun(path string) {
 		i.trySatisfy(r)
 	case r.st.State == RunExecuting && r.task.Compound:
 		i.tryCompoundOutputs(r)
-	}
-}
-
-// verifyFixedPoint is the differential oracle enabled by
-// Config.VerifyScheduler: after a dirty-set drain it runs a read-only
-// full-rescan satisfiability probe and panics if the probe finds progress
-// the worklist missed — i.e. the two schedulers would not have reached
-// the same fixed point.
-func (i *Instance) verifyFixedPoint() {
-	for _, path := range i.order {
-		r, ok := i.runs[path]
-		if !ok || !i.active(r) {
-			continue
-		}
-		switch {
-		case r.st.State == RunWaiting:
-			if r.task == i.root && !i.meta.Started {
-				// A not-yet-started root waits for the client's Start,
-				// not for dependency satisfaction (see trySatisfy).
-				continue
-			}
-			if len(r.task.InputSets) == 0 {
-				panic(fmt.Sprintf("scheduler divergence: %s has no input sets and should have started", path))
-			}
-			for _, set := range r.task.InputSets {
-				if _, ok := i.satisfiedSet(r, set); ok {
-					panic(fmt.Sprintf("scheduler divergence: %s input set %q satisfiable at quiescence", path, set.Name))
-				}
-			}
-		case r.st.State == RunExecuting && r.task.Compound:
-			for _, ob := range r.task.Outputs {
-				if ob.Output.Kind == core.Mark && r.st.MarksEmitted[ob.Output.Name] {
-					continue
-				}
-				if _, ok := i.satisfiedOutput(r, ob); ok {
-					panic(fmt.Sprintf("scheduler divergence: %s output %q satisfiable at quiescence", path, ob.Output.Name))
-				}
-			}
-		}
 	}
 }

@@ -77,24 +77,6 @@ type Config struct {
 	// for a slot instead of piling unbounded concurrent calls onto the
 	// executor pool (backpressure for wide fan-outs). 0 means unbounded.
 	MaxRemoteInflight int
-	// PersistPerTransition selects the legacy persistence strategy that
-	// commits one transaction per run-state transition instead of
-	// coalescing every write of one evaluation drain into a single
-	// multi-object batch commit. It exists as the ablation baseline for
-	// the group-commit design decision; see the PersistChain benchmarks
-	// and the wfbench S2 rows.
-	PersistPerTransition bool
-	// FullRescan selects the legacy evaluation strategy that rescans
-	// every run in the instance to a fixed point after each event,
-	// instead of the dependency-indexed dirty-set scheduler. It exists as
-	// an ablation baseline and as the oracle of the scheduler's
-	// differential tests; see the Scheduler benchmarks.
-	FullRescan bool
-	// VerifyScheduler runs a read-only full-rescan satisfiability probe
-	// after every dirty-set drain and panics if the probe finds progress
-	// the worklist missed. Debug assertion for tests; ignored when
-	// FullRescan is set.
-	VerifyScheduler bool
 	// Probe, when set, receives park/wake notifications from every
 	// instance controller: Park fires just before a controller blocks
 	// with no queued input, Wake as soon as it unblocks. The
@@ -115,6 +97,11 @@ type Config struct {
 	// Tracer receives the engine's activation spans. Nil selects the
 	// process-global obs.DefaultTracer().
 	Tracer *obs.Tracer
+
+	// drain, when set, replaces the dirty-set drain of every evaluation
+	// pass. Only the package's tests set it: the full-rescan oracle and
+	// the post-drain fixed-point probe live in _test.go files.
+	drain func(*Instance)
 }
 
 // Probe observes instance-controller quiescence (see Config.Probe).

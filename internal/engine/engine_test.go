@@ -32,7 +32,7 @@ func newRig(t *testing.T, cfg engine.Config) *rig {
 	// Every engine test doubles as a differential scheduler test: after
 	// each dirty-set drain the full-rescan oracle asserts the same fixed
 	// point was reached.
-	cfg.VerifyScheduler = true
+	cfg = engine.VerifiedScheduler(cfg)
 	st := store.NewMemStore()
 	mgr := txn.NewManager(st)
 	preg := persist.NewRegistry(st, mgr, nil)

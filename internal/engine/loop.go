@@ -167,13 +167,10 @@ func (i *Instance) evaluate() {
 	if n := len(i.dirty); n > 0 {
 		i.eng.met.drainRuns.Observe(float64(n))
 	}
-	if i.eng.cfg.FullRescan {
-		i.evaluateFullRescan()
+	if i.eng.cfg.drain != nil {
+		i.eng.cfg.drain(i)
 	} else {
 		i.drainDirty()
-		if i.eng.cfg.VerifyScheduler {
-			i.verifyFixedPoint()
-		}
 	}
 	i.checkQuiescence()
 	// All run-state transitions of this pass become durable together. A
@@ -181,41 +178,6 @@ func (i *Instance) evaluate() {
 	// in-memory state stays authoritative for the live controller and
 	// recovery replays from the last durable prefix.
 	_ = i.flushRuns()
-}
-
-// evaluateFullRescan is the legacy strategy: satisfaction passes over
-// every run until a fixed point, O(tasks) per event. Kept as the
-// ablation baseline and the oracle the dirty-set scheduler is verified
-// against.
-func (i *Instance) evaluateFullRescan() {
-	// State transitions feed the worklist even when this strategy ignores
-	// it; drop the entries so the map stays bounded.
-	clear(i.dirty)
-	i.dirtyHeap = i.dirtyHeap[:0]
-	progress := true
-	for progress {
-		progress = false
-		for _, path := range i.order {
-			r, ok := i.runs[path]
-			if !ok {
-				continue
-			}
-			i.scans.Add(1)
-			if !i.active(r) {
-				continue
-			}
-			switch {
-			case r.st.State == RunWaiting:
-				if i.trySatisfy(r) {
-					progress = true
-				}
-			case r.st.State == RunExecuting && r.task.Compound:
-				if i.tryCompoundOutputs(r) {
-					progress = true
-				}
-			}
-		}
-	}
 }
 
 // active reports whether a run's enclosing compounds are all executing
@@ -1014,34 +976,17 @@ func (i *Instance) abortTask(path, outcome string) error {
 	}
 }
 
-// persistRun records a run-state transition for persistence. In the
-// default batched mode the write is buffered and flushed together with
-// every other transition of the current evaluation drain as one
-// transaction batch (see flushRuns); with Config.PersistPerTransition it
-// commits immediately in its own transaction, the legacy discipline of
-// one atomic update per transition. Persistence failures are surfaced as
-// events (the in-memory state remains authoritative for the live
-// controller; recovery replays from the last successfully persisted
-// state).
+// persistRun records a run-state transition for persistence. The write
+// is buffered and flushed together with every other transition of the
+// current evaluation drain as one transaction batch (see flushRuns).
+// Persistence failures are surfaced as events (the in-memory state
+// remains authoritative for the live controller; recovery replays from
+// the last successfully persisted state).
 func (i *Instance) persistRun(r *run) {
 	if i.eng.cfg.Ephemeral {
 		return
 	}
-	if !i.eng.cfg.PersistPerTransition {
-		i.bufferRun(r.st.Path, r)
-		return
-	}
-	tx := i.eng.preg.Manager().Begin()
-	//wflint:allow persistorder gated legacy path: Config.PersistPerTransition ablation writes one txn per transition by design
-	err := i.eng.preg.Object(runKey(i.id, r.st.Path)).Set(tx, r.st)
-	if err == nil {
-		err = tx.Commit()
-	} else {
-		_ = tx.Abort()
-	}
-	if err != nil {
-		i.emit(Event{Task: r.st.Path, Kind: EventTaskFailed, Err: fmt.Sprintf("persist run: %v", err)})
-	}
+	i.bufferRun(r.st.Path, r)
 }
 
 // deleteRunState removes a reset constituent's persisted state (same
@@ -1050,21 +995,7 @@ func (i *Instance) deleteRunState(path string) {
 	if i.eng.cfg.Ephemeral {
 		return
 	}
-	if !i.eng.cfg.PersistPerTransition {
-		i.bufferRun(path, nil)
-		return
-	}
-	tx := i.eng.preg.Manager().Begin()
-	//wflint:allow persistorder gated legacy path: Config.PersistPerTransition ablation writes one txn per transition by design
-	err := i.eng.preg.Object(runKey(i.id, path)).Delete(tx)
-	if err == nil {
-		err = tx.Commit()
-	} else {
-		_ = tx.Abort()
-	}
-	if err != nil {
-		i.emit(Event{Task: path, Kind: EventTaskFailed, Err: fmt.Sprintf("delete run state: %v", err)})
-	}
+	i.bufferRun(path, nil)
 }
 
 // bufferRun stages one run-state write (r == nil: delete) for the next

@@ -36,14 +36,13 @@ func (c *countingStore) Write(id store.ID, data []byte) error {
 
 // runChainCounting executes one n-task chain over a counting store and
 // returns the number of transaction decisions it cost.
-func runChainCounting(t *testing.T, n int, cfg engine.Config) int64 {
+func runChainCounting(t *testing.T, n int) int64 {
 	t.Helper()
 	cs := &countingStore{Store: store.NewMemStore()}
 	preg := persist.NewRegistry(cs, txn.NewManager(cs), nil)
 	impls := registry.New()
 	workload.Bind(impls)
-	cfg.VerifyScheduler = true
-	eng := engine.New(preg, impls, cfg)
+	eng := engine.New(preg, impls, engine.VerifiedScheduler(engine.Config{}))
 	t.Cleanup(eng.Close)
 
 	schema := workload.MustCompile("pc", workload.Chain(n))
@@ -70,68 +69,15 @@ func runChainCounting(t *testing.T, n int, cfg engine.Config) int64 {
 // TestBatchedPersistOneTxnPerDrain pins the tentpole invariant: batched
 // persistence coalesces all run-state writes of one dirty-set drain into
 // a single transaction, so a chain of n tasks costs O(n) decisions (one
-// per completion-event drain plus a constant) instead of the legacy
-// one-per-transition ~3n.
+// per completion-event drain plus a constant), not one per transition.
 func TestBatchedPersistOneTxnPerDrain(t *testing.T) {
 	const n = 16
-	batched := runChainCounting(t, n, engine.Config{})
-	legacy := runChainCounting(t, n, engine.Config{PersistPerTransition: true})
+	batched := runChainCounting(t, n)
 
 	// Batched: instantiate + meta + one batch per drain. A chain drains
 	// once per completion event plus start and finish, so ~n+4 decisions.
 	if batched > int64(n+6) {
 		t.Fatalf("batched mode used %d transactions for a %d-chain, want <= %d (one per drain)", batched, n, n+6)
-	}
-	// Legacy pays one transaction per transition: waiting + started +
-	// completed per task, and must remain strictly more expensive.
-	if legacy < 3*int64(n) {
-		t.Fatalf("legacy mode used %d transactions, expected >= %d (one per transition)", legacy, 3*n)
-	}
-	if batched*2 >= legacy {
-		t.Fatalf("batched (%d txns) is not clearly cheaper than legacy (%d txns)", batched, legacy)
-	}
-}
-
-// TestPersistPerTransitionMatchesBatched is a differential check: both
-// persistence strategies must produce identical terminal results and
-// identical durable run states for the same workload.
-func TestPersistPerTransitionMatchesBatched(t *testing.T) {
-	durable := func(cfg engine.Config) ([]store.ID, engine.Result) {
-		st := store.NewMemStore()
-		preg := persist.NewRegistry(st, txn.NewManager(st), nil)
-		impls := registry.New()
-		workload.Bind(impls)
-		cfg.VerifyScheduler = true
-		eng := engine.New(preg, impls, cfg)
-		t.Cleanup(eng.Close)
-		schema := workload.MustCompile("diffp", workload.Diamond(4))
-		inst, err := eng.Instantiate("diffp", schema, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := inst.Start("main", workload.Seed()); err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		res, err := inst.Wait(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inst.Stop()
-		ids, err := st.List("inst/")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ids, res
-	}
-	batchedIDs, batchedRes := durable(engine.Config{})
-	legacyIDs, legacyRes := durable(engine.Config{PersistPerTransition: true})
-	if batchedRes.Output != legacyRes.Output || batchedRes.State != legacyRes.State {
-		t.Fatalf("results diverged: batched %+v, legacy %+v", batchedRes, legacyRes)
-	}
-	if fmt.Sprint(batchedIDs) != fmt.Sprint(legacyIDs) {
-		t.Fatalf("durable object sets diverged:\nbatched: %v\nlegacy:  %v", batchedIDs, legacyIDs)
 	}
 }
 
@@ -153,7 +99,7 @@ func newWalRig(t *testing.T, dir string) *walRig {
 	t.Cleanup(func() { _ = ws.Close() })
 	preg := persist.NewRegistry(ws, txn.NewManager(ws), nil)
 	impls := registry.New()
-	eng := engine.New(preg, impls, engine.Config{VerifyScheduler: true})
+	eng := engine.New(preg, impls, engine.VerifiedScheduler(engine.Config{}))
 	t.Cleanup(eng.Close)
 	return &walRig{ws: ws, preg: preg, impls: impls, eng: eng}
 }

@@ -23,7 +23,7 @@ func rigOver(t *testing.T, old *rig) *rig {
 	mgr := txn.NewManager(old.st)
 	preg := persist.NewRegistry(old.st, mgr, nil)
 	impls := registry.New()
-	eng := engine.New(preg, impls, engine.Config{VerifyScheduler: true})
+	eng := engine.New(preg, impls, engine.VerifiedScheduler(engine.Config{}))
 	t.Cleanup(eng.Close)
 	return &rig{st: old.st, mgr: mgr, preg: preg, impls: impls, eng: eng}
 }
@@ -202,7 +202,7 @@ func TestPropertyDirtySetMatchesFullRescan(t *testing.T) {
 		if !ok {
 			return false
 		}
-		fullRes, fullDone, ok := execute(id+"-full", src, engine.Config{FullRescan: true})
+		fullRes, fullDone, ok := execute(id+"-full", src, engine.FullRescan(engine.Config{}))
 		if !ok {
 			return false
 		}

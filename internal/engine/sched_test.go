@@ -13,7 +13,7 @@ import (
 )
 
 // The tests in this file pin the dependency-indexed dirty-set scheduler
-// to the legacy full-rescan strategy (Config.FullRescan): identical
+// to the full-rescan oracle (FullRescan, oracle_test.go): identical
 // run-state trajectories on deterministic workloads, and sub-quadratic
 // evaluator work asserted through the scan counter.
 
@@ -109,7 +109,7 @@ func TestDifferentialDirtySetVsFullRescan(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dirty := runSched(t, tc.name+"-dirty", tc.src, engine.Config{})
-			full := runSched(t, tc.name+"-full", tc.src, engine.Config{FullRescan: true})
+			full := runSched(t, tc.name+"-full", tc.src, engine.FullRescan(engine.Config{}))
 			diffOutcomes(t, dirty, full)
 		})
 	}
@@ -162,7 +162,7 @@ compoundtask app of taskclass App
 // repeats and automatic retries — the transitions beyond plain dataflow
 // that the dirty worklist must also propagate.
 func TestDifferentialRepeatMarkRetry(t *testing.T) {
-	run := func(cfg engine.Config) schedOutcome {
+	run := func(id string, cfg engine.Config) schedOutcome {
 		cfg.MaxRetries = 1
 		r := newRig(t, cfg)
 		r.impls.Bind("cycler", func(ctx registry.Context) (registry.Result, error) {
@@ -178,7 +178,7 @@ func TestDifferentialRepeatMarkRetry(t *testing.T) {
 			}
 			return registry.Result{Output: "finished", Objects: registry.Objects{"out": {Class: "D", Data: n}}}, nil
 		})
-		inst := r.run(t, cyclerScript, fmt.Sprintf("cycler-rescan=%v", cfg.FullRescan), "main", registry.Objects{"seed": val("D", 0)})
+		inst := r.run(t, cyclerScript, id, "main", registry.Objects{"seed": val("D", 0)})
 		res := waitResult(t, inst)
 		traces := make(map[string][]string)
 		for _, e := range inst.Events() {
@@ -190,7 +190,7 @@ func TestDifferentialRepeatMarkRetry(t *testing.T) {
 		}
 		return schedOutcome{result: res, traces: traces, rows: rows}
 	}
-	diffOutcomes(t, run(engine.Config{}), run(engine.Config{FullRescan: true}))
+	diffOutcomes(t, run("cycler-rescan=false", engine.Config{}), run("cycler-rescan=true", engine.FullRescan(engine.Config{})))
 }
 
 // TestDirtySetScansLinear asserts the asymptotic win of the index on a
@@ -200,7 +200,7 @@ func TestDirtySetScansLinear(t *testing.T) {
 	const n = 48
 	src := workload.Chain(n)
 	dirty := runSched(t, "scans-dirty", src, engine.Config{})
-	full := runSched(t, "scans-full", src, engine.Config{FullRescan: true})
+	full := runSched(t, "scans-full", src, engine.FullRescan(engine.Config{}))
 	if dirty.scans > 8*n {
 		t.Errorf("dirty-set scheduler examined %d runs on a %d-task chain, want <= %d (linear)", dirty.scans, n, 8*n)
 	}

@@ -116,7 +116,7 @@ compoundtask app of taskclass App
 `
 	// Phase 1: start the delay, then crash 4s in.
 	preg1 := persist.NewRegistry(st, txn.NewManager(st), nil)
-	eng1 := engine.New(preg1, registry.New(), engine.Config{Clock: clock, VerifyScheduler: true})
+	eng1 := engine.New(preg1, registry.New(), engine.VerifiedScheduler(engine.Config{Clock: clock}))
 	schema := sema.MustCompileSource("delay.wf", []byte(src))
 	inst1, err := eng1.Instantiate("crashdelay", schema, "")
 	if err != nil {
@@ -134,7 +134,7 @@ compoundtask app of taskclass App
 	if _, err := preg2.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	eng2 := engine.New(preg2, registry.New(), engine.Config{Clock: clock, VerifyScheduler: true})
+	eng2 := engine.New(preg2, registry.New(), engine.VerifiedScheduler(engine.Config{Clock: clock}))
 	t.Cleanup(eng2.Close)
 	inst2, err := eng2.Recover("crashdelay", sema.CompileSource)
 	if err != nil {
@@ -347,23 +347,6 @@ func TestAbortPendingDelay(t *testing.T) {
 	}
 }
 
-// TestDelayPerTransitionAblation runs the delay path under the legacy
-// per-transition persistence discipline, which must stay equivalent.
-func TestDelayPerTransitionAblation(t *testing.T) {
-	clock := timers.NewFakeClock(epoch)
-	r := newRig(t, engine.Config{Clock: clock, PersistPerTransition: true})
-	inst := r.run(t, delayScript, "delay-ptx", "main", registry.Objects{"d": val("D", "x")})
-	waitEventKind(t, inst, engine.EventTimerArmed)
-	clock.Advance(5 * time.Second)
-	res := waitResult(t, inst)
-	if res.Output != "done" {
-		t.Fatalf("result = %+v", res)
-	}
-	if ids, _ := r.st.List("inst/delay-ptx/timer/"); len(ids) != 0 {
-		t.Fatalf("timer records left: %v", ids)
-	}
-}
-
 // TestDelayCrashRecoveryProperty crashes a timer chain at random points
 // (real clock, short delays) and checks the temporal invariants across
 // recovery: the instance completes, no engine life fires one task's
@@ -375,7 +358,7 @@ func TestDelayCrashRecoveryProperty(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		st := store.NewMemStore()
 		preg1 := persist.NewRegistry(st, txn.NewManager(st), nil)
-		eng1 := engine.New(preg1, registry.New(), engine.Config{VerifyScheduler: true})
+		eng1 := engine.New(preg1, registry.New(), engine.VerifiedScheduler(engine.Config{}))
 		schema := sema.MustCompileSource("chain.wf", []byte(src))
 		inst1, err := eng1.Instantiate("prop", schema, "")
 		if err != nil {
@@ -393,7 +376,7 @@ func TestDelayCrashRecoveryProperty(t *testing.T) {
 		if _, err := preg2.Recover(); err != nil {
 			t.Fatal(err)
 		}
-		eng2 := engine.New(preg2, registry.New(), engine.Config{VerifyScheduler: true})
+		eng2 := engine.New(preg2, registry.New(), engine.VerifiedScheduler(engine.Config{}))
 		inst2, err := eng2.Recover("prop", sema.CompileSource)
 		if err != nil {
 			eng2.Close()

@@ -25,7 +25,7 @@ import (
 //     a crash mid-delay neither loses the timer nor stretches it: it
 //     fires once, at the instant it was always going to fire. This is
 //     the durable replacement for the sleeping-goroutine "timer task"
-//     pattern of Section 4.2 (builtin "timer:<dur>:<outcome>").
+//     pattern of Section 4.2.
 //
 //   - Per-activation deadlines: Config.DefaultDeadline and the
 //     "deadline" implementation property bound each activation through
@@ -51,8 +51,10 @@ type delayRec struct {
 	Iteration int
 }
 
-// timerRecKey is the store ID of a pending delay's record (path escaped
-// like runKey, for the same FileStore reason).
+// timerRecKey is the store ID of a pending delay's record. The task path
+// is escaped like runKey's, for the same reasons: the key is the durable
+// on-disk format, and one escaped segment keeps prefix listing of an
+// instance's records one level deep.
 func timerRecKey(instance, path string) store.ID {
 	return store.ID("inst/" + instance + "/timer/" + strings.ReplaceAll(path, "/", "%2F"))
 }
@@ -236,26 +238,12 @@ func (i *Instance) rearmTimers() error {
 }
 
 // persistTimerRec stages a timer-record write into the current flush
-// batch (or commits it immediately under the per-transition ablation).
+// batch.
 func (i *Instance) persistTimerRec(path string, rec *delayRec) {
 	if i.eng.cfg.Ephemeral {
 		return
 	}
-	if !i.eng.cfg.PersistPerTransition {
-		i.bufferTimerRec(path, rec)
-		return
-	}
-	tx := i.eng.preg.Manager().Begin()
-	//wflint:allow persistorder gated legacy path: Config.PersistPerTransition ablation writes one txn per transition by design
-	err := i.eng.preg.Object(timerRecKey(i.id, path)).Set(tx, *rec)
-	if err == nil {
-		err = tx.Commit()
-	} else {
-		_ = tx.Abort()
-	}
-	if err != nil {
-		i.emit(Event{Task: path, Kind: EventTaskFailed, Err: fmt.Sprintf("persist timer: %v", err)})
-	}
+	i.bufferTimerRec(path, rec)
 }
 
 // deleteTimerRec stages the removal of a timer record (same batching
@@ -264,21 +252,7 @@ func (i *Instance) deleteTimerRec(path string) {
 	if i.eng.cfg.Ephemeral {
 		return
 	}
-	if !i.eng.cfg.PersistPerTransition {
-		i.bufferTimerRec(path, nil)
-		return
-	}
-	tx := i.eng.preg.Manager().Begin()
-	//wflint:allow persistorder gated legacy path: Config.PersistPerTransition ablation writes one txn per transition by design
-	err := i.eng.preg.Object(timerRecKey(i.id, path)).Delete(tx)
-	if err == nil {
-		err = tx.Commit()
-	} else {
-		_ = tx.Abort()
-	}
-	if err != nil {
-		i.emit(Event{Task: path, Kind: EventTaskFailed, Err: fmt.Sprintf("delete timer record: %v", err)})
-	}
+	i.bufferTimerRec(path, nil)
 }
 
 // bufferTimerRec stages one timer-record write (nil = delete) for the

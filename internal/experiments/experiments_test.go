@@ -155,17 +155,18 @@ func TestAblationConfigurations(t *testing.T) {
 		}
 		f.Close()
 	}
-	fs, err := experiments.NewFileStoreEnv(t.TempDir())
+	ws, closeStore, err := store.Open("wal", t.TempDir(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := experiments.AblationEnv(fs, false)
+	defer closeStore()
+	f, err := experiments.AblationEnv(ws, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	if err := f.Run(); err != nil {
-		t.Fatalf("filestore: %v", err)
+		t.Fatalf("walstore: %v", err)
 	}
 }
 

@@ -416,19 +416,18 @@ func (x *X5Lossy) Close() {
 
 // --- Ablations ----------------------------------------------------------
 
-// Sched runs one synthetic workload through the engine under either the
-// dependency-indexed dirty-set scheduler or the legacy full-rescan
-// baseline (engine.Config.FullRescan). Persistence is ephemeral so the
-// measurement isolates scheduling cost; the Scheduler benchmarks and the
-// wfbench S1 rows drive it on deep chains and wide fan-ins.
+// Sched runs one synthetic workload through the engine's
+// dependency-indexed dirty-set scheduler. Persistence is ephemeral so
+// the measurement isolates scheduling cost; the Scheduler benchmarks and
+// the wfbench S1 rows drive it on deep chains and wide fan-ins.
 type Sched struct {
 	env    *Env
 	schema *coreSchema
 }
 
 // NewSched prepares the scheduler scenario for the named workload source.
-func NewSched(name, src string, fullRescan bool) *Sched {
-	env := NewEnv(nil, engine.Config{Ephemeral: true, FullRescan: fullRescan})
+func NewSched(name, src string) *Sched {
+	env := NewEnv(nil, engine.Config{Ephemeral: true})
 	workload.Bind(env.Impls)
 	return &Sched{env: env, schema: Compile(name, src)}
 }
@@ -449,28 +448,24 @@ func (s *Sched) Run() error {
 func (s *Sched) Close() { s.env.Close() }
 
 // PersistChain runs an n-task chain with durable (fsync-enabled)
-// persistence over a chosen store backend and persistence strategy: the
-// S2 ablation isolating the WAL group commit and the batched
-// persistRun against the shadow-file-per-transition baseline. Each Run
-// is one workflow instance; the store accumulates instances the way a
-// production engine would (WAL compaction reclaims them).
+// persistence over the group-commit WAL store: the S2 row measuring what
+// one durable instance costs. Each Run is one workflow instance; the
+// store accumulates instances the way a production engine would (WAL
+// compaction reclaims them).
 type PersistChain struct {
 	env    *Env
 	schema *coreSchema
 	closer func()
 }
 
-// NewPersistChain builds the scenario. backend selects "file", "wal" or
-// "mem" (store.Open); perTransition selects the legacy
-// one-transaction-per-transition persistence. dir hosts file-backed
-// stores; sync is left ON — this scenario measures durability cost,
-// unlike NewFileStoreEnv.
-func NewPersistChain(backend string, perTransition bool, n int, dir string) (*PersistChain, error) {
-	st, closer, err := store.Open(backend, dir, true)
+// NewPersistChain builds the scenario over a WAL store in dir. Sync is
+// left ON: this scenario measures durability cost.
+func NewPersistChain(n int, dir string) (*PersistChain, error) {
+	st, closer, err := store.Open("wal", dir, true)
 	if err != nil {
 		return nil, err
 	}
-	env := NewEnv(st, engine.Config{PersistPerTransition: perTransition})
+	env := NewEnv(st, engine.Config{})
 	workload.Bind(env.Impls)
 	return &PersistChain{
 		env:    env,
@@ -505,17 +500,6 @@ func AblationEnv(st store.Store, ephemeral bool) (*Fig1, error) {
 	env := NewEnv(st, engine.Config{Ephemeral: ephemeral})
 	workload.Bind(env.Impls)
 	return &Fig1{env: env, schema: Compile("ablation", workload.Diamond(4))}, nil
-}
-
-// NewFileStoreEnv opens a file store in dir with fsync disabled (the
-// benchmarks measure write-path cost, not disk flush latency).
-func NewFileStoreEnv(dir string) (store.Store, error) {
-	fs, err := store.NewFileStore(dir)
-	if err != nil {
-		return nil, err
-	}
-	fs.SetSync(false)
-	return fs, nil
 }
 
 // TxnThroughput measures raw transactional object updates (the substrate

@@ -43,7 +43,7 @@ type DiskConfig struct {
 }
 
 // FaultStore is a store.FileOps that injects seeded disk faults between
-// a durable store (WALStore, FileStore) and the real file system — the
+// the durable store (WALStore) and the real file system — the
 // disk-side sibling of the Lossy network dialer. Deterministic triggers
 // (WedgeSyncs) complement the probabilistic config for scripted
 // degradation scenarios.
@@ -165,8 +165,6 @@ func (f *FaultStore) Remove(name string) error { return f.base.Remove(name) }
 func (f *FaultStore) MkdirAll(path string, perm os.FileMode) error {
 	return f.base.MkdirAll(path, perm)
 }
-
-func (f *FaultStore) Stat(name string) (os.FileInfo, error) { return f.base.Stat(name) }
 
 // SyncDir implements store.FileOps; directory syncs fail under the same
 // conditions as file syncs.

@@ -9,14 +9,15 @@ import (
 // scheduler state — exactly the writes that must ride the drain batch.
 var runStateKeyFuncs = map[string]bool{"runKey": true, "timerRecKey": true}
 
-// PersistOrder enforces the PR-2 group-commit invariant inside
+// PersistOrder enforces the group-commit invariant inside
 // internal/engine: run-state and timer-record writes commit only through
 // the drain's persist.Batch (flushRuns), one transaction per evaluation
 // drain. A direct persist.Object Set/Delete on a run key re-introduces
-// the one-fsync-per-transition discipline (the 13x S2 regression), and a
-// direct store write bypasses the transactional intention log entirely
-// (no crash atomicity). The gated legacy paths (Config.PersistPerTransition)
-// and the pre-loop instantiation write carry reasoned allow directives.
+// the retired one-transaction-per-transition discipline (2.3x the cost
+// of a batched durable chain on the WAL store), and a direct store write
+// bypasses the transactional intention log entirely (no crash
+// atomicity). Only the pre-loop instantiation write carries a reasoned
+// allow directive.
 var PersistOrder = &Analyzer{
 	Name: "persistorder",
 	Doc: "in internal/engine, forbids persisting run/timer state via direct persist.Object " +

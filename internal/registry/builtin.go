@@ -15,18 +15,16 @@ import (
 //	fixed:<outcome>              terminate in <outcome>, echoing inputs
 //	                             into same-named output objects
 //	sleep:<duration>:<outcome>   sleep, then behave like fixed
-//	timer:<duration>:<outcome>   alias of sleep, for timeout input sets
 //	fail:<n>:<outcome>           fail n activations, then fixed (retries)
 //
 // Install with r.BindFallback(registry.Builtin).
 //
-// The sleep/timer schemes hold a goroutine for the whole duration and
-// restart from zero when a crashed instance is recovered. For durable
-// timing prefer the engine's first-class "delay" implementation
-// property, which rides the crash-safe timing wheel and resumes at its
-// original absolute deadline (see internal/engine and the "Temporal
-// coordination" section of README.md); timer: remains for
-// compatibility with scripts that predate it.
+// The sleep scheme holds a goroutine for the whole duration and
+// restarts from zero when a crashed instance is recovered. For durable
+// timing use the engine's first-class "delay" implementation property,
+// which rides the crash-safe timing wheel and resumes at its original
+// absolute deadline (see internal/engine and the "Temporal
+// coordination" section of README.md).
 func Builtin(code string) (Func, bool) {
 	parts := strings.Split(code, ":")
 	switch parts[0] {
@@ -35,7 +33,7 @@ func Builtin(code string) (Func, bool) {
 			return nil, false
 		}
 		return echoFunc(parts[1], 0), true
-	case "sleep", "timer":
+	case "sleep":
 		if len(parts) != 3 {
 			return nil, false
 		}
@@ -65,7 +63,7 @@ func Builtin(code string) (Func, bool) {
 }
 
 // echoFunc returns a Func producing the outcome after an optional sleep.
-// The legacy timer: builtin sleeps in wall time by definition (it is the
+// The sleep: builtin sleeps in wall time by definition (it is the
 // documented restart-from-zero baseline; first-class delays ride the
 // durable wheel and the engine clock instead).
 func echoFunc(outcome string, d time.Duration) Func {

@@ -52,6 +52,21 @@ func TestFailN(t *testing.T) {
 	}
 }
 
+// TestBuiltinSchemes: the daemons' pattern schemes resolve, and
+// malformed or retired names (the timer: alias of sleep:) do not.
+func TestBuiltinSchemes(t *testing.T) {
+	for _, code := range []string{"fixed:done", "sleep:1s:done", "fail:2:done"} {
+		if _, ok := registry.Builtin(code); !ok {
+			t.Errorf("Builtin(%q) did not resolve", code)
+		}
+	}
+	for _, code := range []string{"fixed", "sleep:1s", "sleep:soon:done", "fail:x:done", "nope:done", "timer:1s:done"} {
+		if _, ok := registry.Builtin(code); ok {
+			t.Errorf("Builtin(%q) resolved, want not resolved", code)
+		}
+	}
+}
+
 func TestObjectsClone(t *testing.T) {
 	var nilObjs registry.Objects
 	if nilObjs.Clone() != nil {

@@ -2,7 +2,10 @@ package store_test
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/store"
@@ -16,7 +19,7 @@ func TestOpenRefusesSecondLiveOwner(t *testing.T) {
 	if runtime.GOOS == "windows" {
 		t.Skip("directory lock is a no-op without flock")
 	}
-	for _, backend := range []string{"wal", "file"} {
+	for _, backend := range []string{"wal"} {
 		t.Run(backend, func(t *testing.T) {
 			dir := t.TempDir()
 			st, closer, err := store.Open(backend, dir, false)
@@ -49,6 +52,29 @@ func TestOpenRefusesSecondLiveOwner(t *testing.T) {
 					t.Fatalf("lock file leaked into listing: %v", ids)
 				}
 			}
+		})
+	}
+}
+
+// TestOpenRefusesShadowFileDir: a directory written by the retired
+// shadow-file store (one file per object under inst/, txlog/,
+// txdecision/) is refused rather than opened as an empty WAL, and the
+// refused Open releases its directory lock.
+func TestOpenRefusesShadowFileDir(t *testing.T) {
+	for _, entry := range []string{"inst", "txlog", "txdecision"} {
+		t.Run(entry, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.MkdirAll(filepath.Join(dir, entry, "a"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := store.Open("wal", dir, false); err == nil || !strings.Contains(err.Error(), entry) {
+				t.Fatalf("Open over a shadow-file dir = %v, want a refusal naming %q", err, entry)
+			}
+			unlock, err := store.LockDir(dir)
+			if err != nil {
+				t.Fatalf("refused Open left the directory locked: %v", err)
+			}
+			unlock()
 		})
 	}
 }

@@ -33,10 +33,10 @@ type File interface {
 	Name() string
 }
 
-// FileOps is the file-system seam under the durable stores (WALStore
-// and FileStore). Production uses OSOps; the failure package provides a
-// seeded fault-injecting implementation so torn writes, failed fsyncs,
-// bit flips and ENOSPC can be tested deterministically.
+// FileOps is the file-system seam under the durable store (WALStore).
+// Production uses OSOps; the failure package provides a seeded
+// fault-injecting implementation so torn writes, failed fsyncs, bit
+// flips and ENOSPC can be tested deterministically.
 type FileOps interface {
 	// OpenFile opens name with the given flags (O_CREATE|O_WRONLY|...).
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
@@ -46,14 +46,12 @@ type FileOps interface {
 	ReadFile(name string) ([]byte, error)
 	// ReadDir lists the directory.
 	ReadDir(name string) ([]fs.DirEntry, error)
-	// Rename renames a file (the commit point of shadow writes).
+	// Rename renames a file (the commit point of a snapshot).
 	Rename(oldpath, newpath string) error
 	// Remove deletes a file.
 	Remove(name string) error
 	// MkdirAll creates a directory tree.
 	MkdirAll(path string, perm os.FileMode) error
-	// Stat stats a path.
-	Stat(name string) (os.FileInfo, error)
 	// SyncDir fsyncs a directory so entry creations, renames and
 	// removals in it survive power loss.
 	SyncDir(dir string) error
@@ -82,8 +80,11 @@ func (OSOps) Remove(name string) error { return os.Remove(name) }
 
 func (OSOps) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 
-func (OSOps) Stat(name string) (os.FileInfo, error) { return os.Stat(name) }
-
-// SyncDir routes through the package-level syncDir hook so tests that
-// count directory syncs keep working for both stores.
-func (OSOps) SyncDir(dir string) error { return syncDir(dir) }
+func (OSOps) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}

@@ -3,17 +3,17 @@
 // where inter-task dependency state, transaction intentions and service
 // metadata are recorded so that they survive processor crashes.
 //
-// Three implementations are provided: a crash-atomic file store (shadow
-// write + rename, the same discipline as Arjuna's object store), a
-// log-structured store with group commit (WALStore: segment files,
-// coalesced fsyncs, snapshot compaction), and an in-memory store used
-// for tests and as the ablation baseline for the persistence design
+// Two implementations are provided: a log-structured store with group
+// commit (WALStore: segment files, coalesced fsyncs, snapshot
+// compaction), the one durable backend, and an in-memory store used for
+// tests and as the ablation baseline for the persistence design
 // decision.
 package store
 
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -100,35 +100,28 @@ func ApplyBatch(st Store, ops []BatchOp) error {
 	return nil
 }
 
-// Open opens the named store backend: "mem" (volatile), "file" (shadow
-// files, FileStore) or "wal" (group-commit log, WALStore). dir hosts the
-// durable backends' state; sync controls fsync. The returned closer is
-// never nil. It backs cmd/wfexec's -store flag and the benchmark
-// harness, so both select backends identically.
+// Open opens the named store backend: "mem" (volatile) or "wal"
+// (group-commit log, WALStore). dir hosts the WAL's state; sync controls
+// fsync. The returned closer is never nil. It backs cmd/wfexec's -store
+// flag, cmd/wfrepo and the benchmark harness, so all of them open
+// backends identically.
 //
-// The durable backends are opened under an exclusive directory lock
-// (LockDir): both are single-writer, so a second live opener — another
-// process, or another partition mount in this one — is refused instead
-// of silently corrupting the state. The closer releases the lock.
+// The WAL is opened under an exclusive directory lock (LockDir): it is
+// single-writer, so a second live opener — another process, or another
+// partition mount in this one — is refused instead of silently
+// corrupting the state. The closer releases the lock. A directory
+// holding another store layout is refused too (see checkWALDir).
 func Open(backend, dir string, sync bool) (Store, func(), error) {
 	switch backend {
 	case "mem":
 		return NewMemStore(), func() {}, nil
-	case "file":
-		unlock, err := LockDir(dir)
-		if err != nil {
-			return nil, nil, err
-		}
-		fs, err := NewFileStore(dir)
-		if err != nil {
-			unlock()
-			return nil, nil, err
-		}
-		fs.SetSync(sync)
-		return fs, unlock, nil
 	case "wal":
 		unlock, err := LockDir(dir)
 		if err != nil {
+			return nil, nil, err
+		}
+		if err := checkWALDir(dir); err != nil {
+			unlock()
 			return nil, nil, err
 		}
 		ws, err := NewWALStore(dir)
@@ -139,8 +132,26 @@ func Open(backend, dir string, sync bool) (Store, func(), error) {
 		ws.SetSync(sync)
 		return ws, func() { _ = ws.Close(); unlock() }, nil
 	default:
-		return nil, nil, fmt.Errorf("unknown store backend %q (want wal, file or mem)", backend)
+		return nil, nil, fmt.Errorf("unknown store backend %q (want wal or mem)", backend)
 	}
+}
+
+// checkWALDir refuses a directory written by the retired shadow-file
+// store (one file per object under inst/, txlog/ and txdecision/): a
+// WALStore over it would see an empty store, and recovery would drop
+// every persisted instance.
+func checkWALDir(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		switch e.Name() {
+		case "inst", "txlog", "txdecision":
+			return fmt.Errorf("state dir %s holds shadow-file store data (%s), which the wal store cannot read; use a fresh directory", dir, e.Name())
+		}
+	}
+	return nil
 }
 
 // MemStore is an in-memory Store. The zero value is ready to use.

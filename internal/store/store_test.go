@@ -14,21 +14,15 @@ import (
 // behavioural conformance tests.
 func stores(t *testing.T) map[string]store.Store {
 	t.Helper()
-	fs, err := store.NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.SetSync(false) // tests do not simulate power loss
 	ws, err := store.NewWALStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws.SetSync(false)
+	ws.SetSync(false) // tests do not simulate power loss
 	t.Cleanup(func() { _ = ws.Close() })
 	return map[string]store.Store{
-		"mem":  store.NewMemStore(),
-		"file": fs,
-		"wal":  ws,
+		"mem": store.NewMemStore(),
+		"wal": ws,
 	}
 }
 
@@ -166,11 +160,12 @@ func TestMemStoreFailureInjection(t *testing.T) {
 
 func TestStoreRoundTripProperty(t *testing.T) {
 	mem := store.NewMemStore()
-	fs, err := store.NewFileStore(t.TempDir())
+	ws, err := store.NewWALStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.SetSync(false)
+	ws.SetSync(false)
+	t.Cleanup(func() { _ = ws.Close() })
 	// Property: any (key, value) written is read back identically from
 	// both stores, where keys are non-empty printable-ish strings.
 	f := func(key string, value []byte) bool {
@@ -178,11 +173,11 @@ func TestStoreRoundTripProperty(t *testing.T) {
 			return true
 		}
 		id := store.ID("p/" + key)
-		if mem.Write(id, value) != nil || fs.Write(id, value) != nil {
+		if mem.Write(id, value) != nil || ws.Write(id, value) != nil {
 			return false
 		}
 		a, err1 := mem.Read(id)
-		b, err2 := fs.Read(id)
+		b, err2 := ws.Read(id)
 		if err1 != nil || err2 != nil {
 			return false
 		}

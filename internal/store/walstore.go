@@ -23,8 +23,7 @@ import (
 // writers that arrive while an fsync is in flight are coalesced into a
 // single group commit — one fsync amortised over all of them — which is
 // what makes durability cost scale with commit *batches* instead of
-// state transitions (the shadow-file FileStore pays a file create, an
-// fsync and a rename per object per write).
+// state transitions.
 //
 // Recovery tolerates a torn tail record (a crash mid-append) by
 // truncating the segment at the last fully checksummed record. Once the

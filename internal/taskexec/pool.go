@@ -289,17 +289,6 @@ func (inv *Invoker) release(ep *endpoint, failed bool) {
 	}
 }
 
-// singleResolver adapts the legacy one-endpoint Resolver.
-func singleResolver(resolve Resolver) SetResolver {
-	return func(location string) ([]string, error) {
-		addr, err := resolve(location)
-		if err != nil {
-			return nil, err
-		}
-		return []string{addr}, nil
-	}
-}
-
 // validBalance reports whether s names a balancing strategy.
 func validBalance(s string) bool {
 	switch s {

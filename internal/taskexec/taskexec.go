@@ -163,11 +163,6 @@ func runSafely(f registry.Func, ctx registry.Context) (res registry.Result, err 
 	return f(ctx)
 }
 
-// Resolver maps a location name to a single endpoint address; kept for
-// single-endpoint deployments (see SetResolver in pool.go for
-// pool-aware resolution).
-type Resolver func(location string) (string, error)
-
 // Invoker is the engine-side dispatcher: it resolves a task's location
 // to the set of executor endpoints currently serving it, balances
 // activations across the set (round-robin or least-inflight), tracks
@@ -186,17 +181,6 @@ type Invoker struct {
 	resolved  map[string]*resolvedSet
 	rr        uint64
 	closed    bool
-}
-
-// NewInvoker builds an engine.RemoteInvoker-compatible dispatcher over a
-// single-endpoint resolver (a pool of one per location).
-func NewInvoker(resolve Resolver, cfg orb.ClientConfig) *Invoker {
-	inv, err := NewPoolInvoker(singleResolver(resolve), PoolConfig{Client: cfg})
-	if err != nil {
-		// Unreachable: the zero Balance is always valid.
-		panic(err)
-	}
-	return inv
 }
 
 // Close drops every cached client and retires the invoker: dispatches
